@@ -17,7 +17,9 @@
 // A key present in the baseline but missing from the current run fails
 // the diff — schema drift must be deliberate (regenerate the baseline),
 // never silent. Extra keys in the current run are fine: new metrics
-// don't need a baseline yet.
+// don't need a baseline yet. An empty array in the baseline also fails:
+// it guards nothing, so a bench that stopped emitting rows would pass
+// vacuously.
 //
 // Simulated time makes this gate reproducible: the "measurements" are
 // deterministic functions of the cost model, so the only noise source is
@@ -54,6 +56,7 @@ struct Diff {
   int checked = 0;
   int regressions = 0;
   int missing = 0;
+  int empty = 0;
 };
 
 /// Relative change in the "worse" direction: positive = regression.
@@ -85,6 +88,12 @@ void walk(const Value& base, const Value& cur, const std::string& path,
     return;
   }
   if (base.kind() == Value::Kind::Array) {
+    if (base.as_array().empty()) {
+      std::printf("EMPTY    %s: baseline array has no rows to guard\n",
+                  path.c_str());
+      ++diff.empty;
+      return;
+    }
     if (cur.kind() != Value::Kind::Array ||
         cur.as_array().size() < base.as_array().size()) {
       std::printf("MISSING  %s: current array shorter than baseline\n",
@@ -149,9 +158,9 @@ int main(int argc, char** argv) {
   walk(base, cur, "", "", max_regression, diff);
   std::printf(
       "bench_diff: %d metrics checked, %d regressed, %d missing from "
-      "current run\n",
-      diff.checked, diff.regressions, diff.missing);
-  if (diff.regressions > 0 || diff.missing > 0) {
+      "current run, %d empty baseline arrays\n",
+      diff.checked, diff.regressions, diff.missing, diff.empty);
+  if (diff.regressions > 0 || diff.missing > 0 || diff.empty > 0) {
     std::printf(
         "bench_diff: FAIL — investigate, or regenerate bench/baseline/ if "
         "the change is intentional\n");

@@ -261,6 +261,7 @@ int main(int argc, char** argv) {
                 row.warm_sim_cached == 0
                     ? 0.0
                     : row.warm_sim_uncached / row.warm_sim_cached);
+    rows.push_back(std::move(row));
   }
   bench::print_rule(100);
 

@@ -24,7 +24,7 @@ DeviceSpec DeviceSpec::v100_with_memory(std::size_t memory_bytes) {
   return spec;
 }
 
-void Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
+void Device::begin_launch(const LaunchConfig& cfg) const {
   E2ELU_CHECK_MSG(cfg.blocks >= 0, "negative grid size");
   E2ELU_CHECK_MSG(cfg.threads_per_block >= 1 &&
                       cfg.threads_per_block <= spec_.max_threads_per_block,
@@ -39,7 +39,43 @@ void Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
       fault::Injector::instance().should_fail_launch(cfg.name)) {
     throw LaunchFailure(std::string("injected launch failure: ") + cfg.name);
   }
+}
 
+void Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
+  begin_launch(cfg);
+  std::uint64_t ops = 0;
+  if (cfg.blocks == 1) {
+    // A one-block grid runs on the calling thread: waking the pool costs
+    // far more host time than the block itself, and the modeled cost
+    // depends only on the op count.
+    KernelContext ctx;
+    body(0, ctx);
+    ops = ctx.ops();
+  } else if (cfg.blocks > 1) {
+    // Execute every block on the pool, one work counter per worker.
+    ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::global();
+    std::vector<KernelContext> contexts(pool.num_threads());
+    pool.parallel_for_ranges(
+        static_cast<std::size_t>(cfg.blocks),
+        [&](std::size_t begin, std::size_t end, std::size_t worker) {
+          KernelContext& ctx = contexts[worker];
+          for (std::size_t b = begin; b < end; ++b) {
+            body(static_cast<std::int64_t>(b), ctx);
+          }
+        });
+    for (const KernelContext& ctx : contexts) ops += ctx.ops();
+  }
+  record_launch(cfg, ops);
+}
+
+void Device::charge(const LaunchConfig& cfg, std::uint64_t ops) {
+  E2ELU_CHECK_MSG(cfg.blocks > 0 || ops == 0,
+                  "charge of " << ops << " ops to an empty grid");
+  begin_launch(cfg);
+  record_launch(cfg, ops);
+}
+
+void Device::record_launch(const LaunchConfig& cfg, std::uint64_t ops) {
   // Launch overhead is charged even for empty grids (a real launch would
   // still round-trip the driver). A fused launch pays it exactly once —
   // that amortization is the point of level fusion.
@@ -58,22 +94,7 @@ void Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
 
   double kernel_us = 0;
   if (cfg.blocks > 0) {
-    // Execute every block on the pool, one work counter per worker.
-    ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::global();
-    std::vector<KernelContext> contexts(pool.num_threads());
-    pool.parallel_for_ranges(
-        static_cast<std::size_t>(cfg.blocks),
-        [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          KernelContext& ctx = contexts[worker];
-          for (std::size_t b = begin; b < end; ++b) {
-            body(static_cast<std::int64_t>(b), ctx);
-          }
-        });
-
-    std::uint64_t ops = 0;
-    for (const KernelContext& ctx : contexts) ops += ctx.ops();
     stats_.kernel_ops += ops;
-
     const double throughput =
         spec_.gpu_ops_per_us * occupancy(cfg.blocks) * cfg.warp_efficiency;
     kernel_us = static_cast<double>(ops) / throughput;

@@ -181,7 +181,19 @@ class Device {
   ///                        * warp_efficiency.               (lane use)
   /// This is the expression behind §3.4: capping resident blocks below
   /// TB_max (the dense-format memory limit) directly scales time.
+  ///
+  /// A one-block grid runs on the calling thread rather than the pool;
+  /// results, counters and exceptions are the same either way.
   void launch(const LaunchConfig& cfg, const KernelBody& body);
+
+  /// Records a launch of `cfg` that performs `ops` work items without
+  /// running any block body: the same checks (including an armed launch
+  /// fault), launch overhead, occupancy, stream timeline and kernel_ops as
+  /// launch() with blocks whose add_ops() calls sum to `ops`. For kernels
+  /// whose effect the host has already produced — or, as with the dense
+  /// window's scatter/gather, never needs to — but whose cost the model
+  /// keeps. An empty grid (blocks == 0) must charge 0 ops.
+  void charge(const LaunchConfig& cfg, std::uint64_t ops);
 
   /// Explicit host<->device copies (cudaMemcpy). Charged at PCIe rate.
   void copy_h2d(std::size_t bytes);
@@ -232,6 +244,12 @@ class Device {
   friend class DeviceGroup;
   void allocate(std::size_t bytes);
   void deallocate(std::size_t bytes) noexcept;
+
+  /// Shared head of launch() and charge(): validates the config and fires
+  /// an armed launch fault.
+  void begin_launch(const LaunchConfig& cfg) const;
+  /// Shared tail: charges launch overhead and `ops` of kernel time.
+  void record_launch(const LaunchConfig& cfg, std::uint64_t ops);
 
   /// Charges a synchronous (default-timeline) operation: starts after all
   /// queued work, blocks everything behind it — the legacy-default-stream

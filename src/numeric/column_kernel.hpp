@@ -73,6 +73,37 @@ inline offset_t bsearch_position(const Csc& csc, index_t j, index_t i,
   return -1;
 }
 
+/// Sub-column update As(:,k) -= L(:,j) * ujk in place on CSC, where
+/// `ujk_pos` is the CSC position of (j,k). L(:,j)'s rows are ascending and
+/// all below j, and by the fill theorem each one is present in column k
+/// after row j — so a single forward merge walk from `ujk_pos` finds every
+/// target without a search. The walk stops at the end of column k; a
+/// missing target is a symbolic-phase bug and trips the check, as in
+/// bsearch_position. `exclusive` says no other block can write column k
+/// concurrently (one block per sub-column), which lets the subtraction
+/// skip the CAS; results are bit-identical either way.
+inline void merge_update_sub_column(FactorMatrix& m, index_t j, index_t k,
+                                    offset_t ujk_pos, value_t ujk,
+                                    bool exclusive) {
+  const offset_t col_end = m.csc.col_ptr[j + 1];
+  const offset_t k_end = m.csc.col_ptr[k + 1];
+  offset_t q = ujk_pos + 1;
+  for (offset_t p = m.diag_pos[j] + 1; p < col_end; ++p) {
+    const index_t i = m.csc.row_idx[p];
+    while (q < k_end && m.csc.row_idx[q] < i) ++q;
+    E2ELU_CHECK_MSG(q < k_end && m.csc.row_idx[q] == i,
+                    "update target (" << i << "," << k
+                                      << ") missing from the fill pattern");
+    const value_t delta = m.csc.values[p] * ujk;
+    if (exclusive) {
+      m.csc.values[q] -= delta;
+    } else {
+      atomic_sub(m.csc.values[q], delta);
+    }
+    ++q;
+  }
+}
+
 /// Factorizes column j of `m` in place with binary-search element access
 /// (lines 2-6 of Algorithm 2, then the sub-column updates of lines 7-15).
 /// Used by the sequential reference, the sparse GPU executor, and the

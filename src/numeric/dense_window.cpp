@@ -1,20 +1,29 @@
 // GLU3.0-style dense-window numeric executor.
 //
-// Active columns are scattered into dense length-n arrays so element
+// GLU3.0 scatters active columns into dense length-n arrays so element
 // access is direct indexing. The window holds M = free_bytes /
 // (n * sizeof(value_t)) columns; a batch must fit every column it
 // factorizes *and* every sub-column those updates write, so wide levels
 // are processed in multiple scatter/factor/gather rounds and the block
 // count per factor kernel never exceeds M — the concurrency ceiling
 // Table 4 reports and Figure 8 shows the sparse format removing.
+//
+// Here the window is a residency and cost model: slots, batches and the
+// scatter/gather copies decide which kernels launch, with what grids and
+// op counts, and the window's bytes are reserved on the device. The host
+// does the arithmetic in place on the CSC factor storage (a merge walk
+// stands in for the dense O(1) access and is not charged), and the
+// scatter/gather kernels are charged without copying anything. Every
+// subtraction lands in the same order as with real dense staging, so the
+// factors are those of the staged format.
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "gpusim/device_buffer.hpp"
 #include "numeric/column_kernel.hpp"
 #include "numeric/factor_window.hpp"
 #include "numeric/numeric.hpp"
@@ -62,73 +71,78 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
                   "device cannot hold two dense columns of length "
                       << n << "; use the sparse binary-search format");
   stats.window_columns = window;
-  gpusim::DeviceBuffer<value_t> dense(
-      dev, static_cast<std::size_t>(window) * static_cast<std::size_t>(n));
+  // The dense slots are only reserved: nothing is staged in them.
+  const gpusim::RawDeviceAllocation dense(
+      dev, static_cast<std::size_t>(window) * static_cast<std::size_t>(n) *
+               sizeof(value_t));
 
   // slot_of[col] = dense slot while resident in the current batch.
   std::vector<index_t> slot_of(static_cast<std::size_t>(n), -1);
 
-  auto dense_at = [&](index_t slot, index_t row) -> value_t& {
-    return dense[static_cast<std::size_t>(slot) * n + row];
-  };
-
-  auto scatter = [&](const Batch& b, double warp_eff) {
-    dev.launch({.name = "dense_scatter",
-                .blocks = static_cast<std::int64_t>(b.slot_cols.size()),
-                .threads_per_block = 256,
-                .warp_efficiency = warp_eff},
-               [&](std::int64_t sl, gpusim::KernelContext& ctx) {
-                 const index_t col = b.slot_cols[static_cast<std::size_t>(sl)];
-                 const auto slot = static_cast<index_t>(sl);
-                 for (offset_t p = m.csc.col_ptr[col];
-                      p < m.csc.col_ptr[col + 1]; ++p) {
-                   dense_at(slot, m.csc.row_idx[p]) = m.csc.values[p];
-                   ctx.add_ops(1);
-                 }
-               });
-  };
-  auto gather = [&](const Batch& b, double warp_eff) {
-    dev.launch({.name = "dense_gather",
-                .blocks = static_cast<std::int64_t>(b.slot_cols.size()),
-                .threads_per_block = 256,
-                .warp_efficiency = warp_eff},
-               [&](std::int64_t sl, gpusim::KernelContext& ctx) {
-                 const index_t col = b.slot_cols[static_cast<std::size_t>(sl)];
-                 const auto slot = static_cast<index_t>(sl);
-                 for (offset_t p = m.csc.col_ptr[col];
-                      p < m.csc.col_ptr[col + 1]; ++p) {
-                   m.csc.values[p] = dense_at(slot, m.csc.row_idx[p]);
-                   ctx.add_ops(1);
-                 }
-               });
-  };
-
-  /// Factorizes one column against dense-resident sub-columns.
-  auto process_column_dense = [&](index_t j,
-                                  gpusim::KernelContext& ctx) {
-    std::uint64_t ops = 0;
-    const index_t jslot = slot_of[j];
-    const value_t diag = detail::load_pivot(dense_at(jslot, j), j);
-    const offset_t dp = m.diag_pos[j];
-    const offset_t col_end = m.csc.col_ptr[j + 1];
-    for (offset_t p = dp + 1; p < col_end; ++p) {
-      dense_at(jslot, m.csc.row_idx[p]) /= diag;
-      ++ops;
+  // Scatter and gather move every entry of each slot column between CSC
+  // and its dense slot, one op per element and one block per slot.
+  auto charge_copy = [&](const char* name, std::span<const index_t> cols,
+                         double warp_eff) {
+    std::uint64_t elements = 0;
+    for (index_t c : cols) {
+      elements +=
+          static_cast<std::uint64_t>(m.csc.col_ptr[c + 1] - m.csc.col_ptr[c]);
     }
+    dev.charge({.name = name,
+                .blocks = static_cast<std::int64_t>(cols.size()),
+                .threads_per_block = 256,
+                .warp_efficiency = warp_eff},
+               elements);
+  };
+  auto scatter = [&](std::span<const index_t> cols, double warp_eff) {
+    charge_copy("dense_scatter", cols, warp_eff);
+  };
+  auto gather = [&](std::span<const index_t> cols, double warp_eff) {
+    charge_copy("dense_gather", cols, warp_eff);
+  };
+
+  /// Divides L(:,j) by its pivot; returns the ops charged.
+  auto divide_column = [&](index_t j) -> std::uint64_t {
+    const offset_t dp = m.diag_pos[j];
+    const value_t diag = detail::load_pivot(m.csc.values[dp], j);
+    const offset_t col_end = m.csc.col_ptr[j + 1];
+    for (offset_t p = dp + 1; p < col_end; ++p) m.csc.values[p] /= diag;
+    return static_cast<std::uint64_t>(col_end - dp - 1);
+  };
+
+  /// Applies L(:,j) to the sub-column at pattern position `rp` of row j;
+  /// returns the ops charged — one for reading U(j,k), one per update.
+  auto update_sub_column = [&](index_t j, offset_t rp,
+                               bool exclusive) -> std::uint64_t {
+    const offset_t upos = m.csr_pos_to_csc[rp];
+    const value_t ujk = m.csc.values[upos];
+    if (ujk == value_t{0}) return 1;
+    detail::merge_update_sub_column(m, j, m.pattern.col_idx[rp], upos, ujk,
+                                    exclusive);
+    return 1 + static_cast<std::uint64_t>(m.csc.col_ptr[j + 1] -
+                                          m.diag_pos[j] - 1);
+  };
+
+  /// CSR positions of the strictly-upper entries of pattern row j: one
+  /// per sub-column column j updates.
+  auto sub_positions = [&](index_t j) {
+    std::vector<offset_t> subs;
     for (offset_t rp = m.pattern.row_ptr[j]; rp < m.pattern.row_ptr[j + 1];
          ++rp) {
-      const index_t k = m.pattern.col_idx[rp];
-      if (k <= j) continue;
-      const index_t kslot = slot_of[k];
-      const value_t ujk = dense_at(kslot, j);
-      ++ops;
-      if (ujk == value_t{0}) continue;
-      for (offset_t p = dp + 1; p < col_end; ++p) {
-        const index_t i = m.csc.row_idx[p];
-        // Direct dense indexing — the O(1) access the format buys.
-        detail::atomic_sub(dense_at(kslot, i),
-                           dense_at(jslot, i) * ujk);
-        ++ops;
+      if (m.pattern.col_idx[rp] > j) subs.push_back(rp);
+    }
+    return subs;
+  };
+
+  /// Factorizes one column with block-per-column parallelism: other
+  /// blocks of the launch may update the same sub-columns, so the
+  /// subtractions stay atomic.
+  auto process_column_dense = [&](index_t j, gpusim::KernelContext& ctx) {
+    std::uint64_t ops = divide_column(j);
+    for (offset_t rp = m.pattern.row_ptr[j]; rp < m.pattern.row_ptr[j + 1];
+         ++rp) {
+      if (m.pattern.col_idx[rp] > j) {
+        ops += update_sub_column(j, rp, /*exclusive=*/false);
       }
     }
     ctx.add_ops(ops);
@@ -136,29 +150,19 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
 
   /// GLU3.0 type-C mode for one column: a one-block division kernel, then
   /// an update kernel with a block per sub-column — the batch is too
-  /// narrow for block-per-column to occupy the device.
+  /// narrow for block-per-column to occupy the device. Each update block
+  /// owns its sub-column, so it writes without atomics.
   auto factor_column_subparallel = [&](index_t j, double warp_eff,
                                        gpusim::Stream* stream) {
-    const index_t jslot = slot_of[j];
     dev.launch({.name = "dense_div_C",
                 .blocks = 1,
                 .threads_per_block = 256,
                 .warp_efficiency = warp_eff,
                 .stream = stream},
                [&](std::int64_t, gpusim::KernelContext& ctx) {
-                 const value_t diag =
-                     detail::load_pivot(dense_at(jslot, j), j);
-                 for (offset_t p = m.diag_pos[j] + 1;
-                      p < m.csc.col_ptr[j + 1]; ++p) {
-                   dense_at(jslot, m.csc.row_idx[p]) /= diag;
-                   ctx.add_ops(1);
-                 }
+                 ctx.add_ops(divide_column(j));
                });
-    std::vector<index_t> subs;
-    for (offset_t rp = m.pattern.row_ptr[j]; rp < m.pattern.row_ptr[j + 1];
-         ++rp) {
-      if (m.pattern.col_idx[rp] > j) subs.push_back(m.pattern.col_idx[rp]);
-    }
+    const std::vector<offset_t> subs = sub_positions(j);
     if (subs.empty()) return;
     dev.launch({.name = "dense_update_C",
                 .blocks = static_cast<std::int64_t>(subs.size()),
@@ -166,21 +170,8 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
                 .warp_efficiency = warp_eff,
                 .stream = stream},
                [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                 std::uint64_t ops = 0;
-                 const index_t k2 = subs[static_cast<std::size_t>(b)];
-                 const index_t kslot = slot_of[k2];
-                 const value_t ujk = dense_at(kslot, j);
-                 ++ops;
-                 if (ujk != value_t{0}) {
-                   for (offset_t p = m.diag_pos[j] + 1;
-                        p < m.csc.col_ptr[j + 1]; ++p) {
-                     const index_t i = m.csc.row_idx[p];
-                     detail::atomic_sub(dense_at(kslot, i),
-                                        dense_at(jslot, i) * ujk);
-                     ++ops;
-                   }
-                 }
-                 ctx.add_ops(ops);
+                 ctx.add_ops(update_sub_column(
+                     j, subs[static_cast<std::size_t>(b)], /*exclusive=*/true));
                });
   };
 
@@ -199,7 +190,7 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
 
   auto run_batch = [&](Batch& b, double warp_eff) {
     if (b.factor_cols.empty()) return;
-    scatter(b, warp_eff);
+    scatter(b.slot_cols, warp_eff);
     if (level_type != scheduling::LevelType::C) {
       // Type A/B: block per column.
       dev.launch({.name = "dense_factor",
@@ -217,7 +208,7 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
             streams.empty() ? nullptr : streams[i % streams.size()].get());
       }
     }
-    gather(b, warp_eff);
+    gather(b.slot_cols, warp_eff);
     for (index_t c : b.slot_cols) slot_of[c] = -1;
     b.factor_cols.clear();
     b.slot_cols.clear();
@@ -262,87 +253,40 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
         // alone, streaming its sub-columns through the window in groups.
         if (new_slots > window) {
           claim_slot(batch, j);
-          scatter(batch, warp_eff);
+          scatter(batch.slot_cols, warp_eff);
           dev.launch({.name = "dense_div_huge",
                       .blocks = 1,
                       .threads_per_block = 256,
                       .warp_efficiency = warp_eff},
                      [&](std::int64_t, gpusim::KernelContext& ctx) {
-                       const index_t jslot = slot_of[j];
-                       const value_t diag =
-                           detail::load_pivot(dense_at(jslot, j), j);
-                       for (offset_t p = m.diag_pos[j] + 1;
-                            p < m.csc.col_ptr[j + 1]; ++p) {
-                         dense_at(jslot, m.csc.row_idx[p]) /= diag;
-                         ctx.add_ops(1);
-                       }
+                       ctx.add_ops(divide_column(j));
                      });
-          gather(batch, warp_eff);  // write L(:,j) back before streaming
-          const index_t jslot_keep = 0;
-          // Stream sub-columns in groups of window-1 (slot 0 pins j).
-          std::vector<index_t> subs;
-          for (offset_t rp = m.pattern.row_ptr[j];
-               rp < m.pattern.row_ptr[j + 1]; ++rp) {
-            if (m.pattern.col_idx[rp] > j) subs.push_back(m.pattern.col_idx[rp]);
-          }
-          slot_of[j] = jslot_keep;  // keep j resident across groups
+          // The staged format writes L(:,j) back before streaming.
+          gather(batch.slot_cols, warp_eff);
+          // Stream sub-columns in groups of window-1 (slot 0 pins j);
+          // each group is scattered with j, updated, and gathered
+          // without j, which this phase leaves unchanged.
+          const std::vector<offset_t> subs = sub_positions(j);
+          std::vector<index_t> group{j};
           for (std::size_t g = 0; g < subs.size();
                g += static_cast<std::size_t>(window - 1)) {
-            Batch group;
-            group.slot_cols.push_back(j);  // slot 0
             const std::size_t end = std::min(
                 subs.size(), g + static_cast<std::size_t>(window - 1));
+            group.resize(1);
             for (std::size_t t = g; t < end; ++t) {
-              slot_of[subs[t]] = static_cast<index_t>(group.slot_cols.size());
-              group.slot_cols.push_back(subs[t]);
+              group.push_back(m.pattern.col_idx[subs[t]]);
             }
             scatter(group, warp_eff);
-            dev.launch(
-                {.name = "dense_update_huge",
-                 .blocks = static_cast<std::int64_t>(end - g),
-                 .threads_per_block = 256,
-                 .warp_efficiency = warp_eff},
-                [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                  std::uint64_t ops = 0;
-                  const index_t k2 = subs[g + static_cast<std::size_t>(b)];
-                  const index_t kslot = slot_of[k2];
-                  const value_t ujk = dense_at(kslot, j);
-                  ++ops;
-                  if (ujk != value_t{0}) {
-                    for (offset_t p = m.diag_pos[j] + 1;
-                         p < m.csc.col_ptr[j + 1]; ++p) {
-                      const index_t i = m.csc.row_idx[p];
-                      detail::atomic_sub(dense_at(kslot, i),
-                                         dense_at(0, i) * ujk);
-                      ++ops;
-                    }
-                  }
-                  ctx.add_ops(ops);
-                });
-            // Gather only the sub-columns; j itself is unchanged here.
-            Batch sub_only;
-            sub_only.slot_cols.assign(group.slot_cols.begin() + 1,
-                                      group.slot_cols.end());
-            // Temporarily renumber for gather's slot indexing.
-            for (std::size_t t = 0; t < sub_only.slot_cols.size(); ++t) {
-              slot_of[sub_only.slot_cols[t]] = static_cast<index_t>(t + 1);
-            }
-            dev.launch({.name = "dense_gather",
-                        .blocks =
-                            static_cast<std::int64_t>(sub_only.slot_cols.size()),
+            dev.launch({.name = "dense_update_huge",
+                        .blocks = static_cast<std::int64_t>(end - g),
                         .threads_per_block = 256,
                         .warp_efficiency = warp_eff},
-                       [&](std::int64_t sl, gpusim::KernelContext& ctx) {
-                         const index_t col =
-                             sub_only.slot_cols[static_cast<std::size_t>(sl)];
-                         const index_t slot = static_cast<index_t>(sl) + 1;
-                         for (offset_t p = m.csc.col_ptr[col];
-                              p < m.csc.col_ptr[col + 1]; ++p) {
-                           m.csc.values[p] = dense_at(slot, m.csc.row_idx[p]);
-                           ctx.add_ops(1);
-                         }
+                       [&](std::int64_t b, gpusim::KernelContext& ctx) {
+                         ctx.add_ops(update_sub_column(
+                             j, subs[g + static_cast<std::size_t>(b)],
+                             /*exclusive=*/true));
                        });
-            for (index_t c : sub_only.slot_cols) slot_of[c] = -1;
+            gather(std::span<const index_t>(group).subspan(1), warp_eff);
             ++stats.num_batches;
           }
           slot_of[j] = -1;
@@ -396,7 +340,7 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
                   {"levels", hi - lo},
                   {"columns", width},
                   {"format", "dense"}});
-      scatter(batch, warp_eff);
+      scatter(batch.slot_cols, warp_eff);
       dev.launch(
           {.name = "dense_fused",
            .blocks = width,
@@ -421,7 +365,7 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
             }
             flags[j].store(1, std::memory_order_release);
           });
-      gather(batch, warp_eff);
+      gather(batch.slot_cols, warp_eff);
       for (index_t c2 : batch.slot_cols) slot_of[c2] = -1;
       ++stats.num_batches;
       stats.fused_levels += hi - lo;

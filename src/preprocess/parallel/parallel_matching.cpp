@@ -77,12 +77,8 @@ Permutation parallel_diagonal_matching(gpusim::Device& dev, const Csr& a,
     d_ti.copy_from_host(std::span<const index_t>(at.col_idx));
   }
   // Transpose construction is a counting sort — charge it as one kernel.
-  dev.launch({.name = "match.build_csc", .blocks = blocks_for(n)},
-             [&](std::int64_t b, gpusim::KernelContext& ctx) {
-               if (b == 0) {
-                 ctx.add_ops(2 * static_cast<std::uint64_t>(a.nnz()));
-               }
-             });
+  dev.charge({.name = "match.build_csc", .blocks = blocks_for(n)},
+             2 * static_cast<std::uint64_t>(a.nnz()));
 
   const bool with_values = !a.values.empty();
   const double avg_len =

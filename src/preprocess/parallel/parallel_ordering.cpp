@@ -377,13 +377,11 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
     // original symmetrized graph — same fallback as the serial path.
     std::uint64_t tail_ops = 0;
     const Permutation tail = rcm_on_graph(g, n, ordered, tail_ops);
-    dev.launch({.name = "amd.rcm_fallback",
+    dev.charge({.name = "amd.rcm_fallback",
                 .blocks = vert_blocks,
                 .threads_per_block = static_cast<int>(kVertsPerBlock),
                 .warp_efficiency = warp_eff},
-               [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                 if (b == 0) ctx.add_ops(tail_ops);
-               });
+               tail_ops);
     order.insert(order.end(), tail.begin(), tail.end());
   }
   E2ELU_CHECK(static_cast<index_t>(order.size()) == n);
@@ -403,13 +401,11 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
     std::uint64_t rcm_ops = 0;
     std::vector<bool> none(static_cast<std::size_t>(n), false);
     Permutation rcm = rcm_on_graph(g, n, none, rcm_ops);
-    dev.launch({.name = "ord.rcm_candidate",
+    dev.charge({.name = "ord.rcm_candidate",
                 .blocks = vert_blocks,
                 .threads_per_block = static_cast<int>(kVertsPerBlock),
                 .warp_efficiency = warp_eff},
-               [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                 if (b == 0) ctx.add_ops(rcm_ops);
-               });
+               rcm_ops);
 
     const Permutation* cand[2] = {&order, &rcm};
     Csr permuted[2];

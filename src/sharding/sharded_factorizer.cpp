@@ -117,15 +117,13 @@ numeric::NumericStats ShardedFactorizer::run_numeric(
       gpusim::Device& dev = group_.device(active[static_cast<std::size_t>(p)]);
       const std::uint64_t ops = dev_ops[static_cast<std::size_t>(p)];
       *failed_device = active[static_cast<std::size_t>(p)];
-      dev.launch(
+      dev.charge(
           {.name = names[static_cast<std::size_t>(p)].c_str(),
            .blocks = dev_width[static_cast<std::size_t>(p)],
            .threads_per_block = 256,
            .warp_efficiency = lp.warp_eff[static_cast<std::size_t>(l)],
            .stream = streams[static_cast<std::size_t>(p)].get()},
-          [&](std::int64_t b, gpusim::KernelContext& ctx) {
-            if (b == 0) ctx.add_ops(ops);
-          });
+          ops);
       *failed_device = -1;
     }
 
@@ -542,13 +540,11 @@ std::vector<value_t> ShardedFactorizer::solve(const FactorResult& f,
       if (dev_width[static_cast<std::size_t>(p)] == 0) continue;
       gpusim::Device& dev = group_.device(active[static_cast<std::size_t>(p)]);
       const std::uint64_t ops = dev_ops[static_cast<std::size_t>(p)];
-      dev.launch({.name = names[static_cast<std::size_t>(p)].c_str(),
+      dev.charge({.name = names[static_cast<std::size_t>(p)].c_str(),
                   .blocks = dev_width[static_cast<std::size_t>(p)],
                   .threads_per_block = 256,
                   .stream = streams[static_cast<std::size_t>(p)].get()},
-                 [&](std::int64_t blk, gpusim::KernelContext& ctx) {
-                   if (blk == 0) ctx.add_ops(ops);
-                 });
+                 ops);
     }
   };
   for (index_t l = 0; l < s.num_levels(); ++l) charge_level(f.l, l, true);

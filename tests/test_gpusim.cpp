@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "fault/fault.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/device_buffer.hpp"
 #include "gpusim/unified_buffer.hpp"
+#include "numeric/numeric.hpp"
+#include "support/thread_pool.hpp"
 
 namespace e2elu::gpusim {
 namespace {
@@ -327,6 +332,97 @@ TEST(Occupancy, WeightedKernelTimeTracksGridSize) {
   // 10 of 160 blocks resident: weighted time is 1/16 of kernel time.
   EXPECT_NEAR(st.sim_occupancy_us, st.sim_kernel_us / 16.0, 1e-12);
   EXPECT_NEAR(st.avg_occupancy(), 1.0 / 16.0, 1e-12);
+}
+
+void expect_same_stats(const DeviceStats& a, const DeviceStats& b) {
+  EXPECT_EQ(a.host_launches, b.host_launches);
+  EXPECT_EQ(a.device_launches, b.device_launches);
+  EXPECT_EQ(a.kernel_ops, b.kernel_ops);
+  EXPECT_EQ(a.fused_launches, b.fused_launches);
+  EXPECT_EQ(a.fused_levels, b.fused_levels);
+  EXPECT_EQ(a.sim_kernel_us, b.sim_kernel_us);
+  EXPECT_EQ(a.sim_launch_us, b.sim_launch_us);
+  EXPECT_EQ(a.sim_occupancy_us, b.sim_occupancy_us);
+  EXPECT_EQ(a.sim_elapsed_us, b.sim_elapsed_us);
+}
+
+// A charge is an executing launch minus the block bodies: the same config
+// and op total must leave every counter and timeline where the launch
+// leaves it, on the default stream and on an async one.
+TEST(Charge, MatchesAnExecutingLaunch) {
+  Device ran(small_spec());
+  Device charged(small_spec());
+  Stream ran_stream(ran);
+  Stream charged_stream(charged);
+  const KernelBody body = [](std::int64_t b, KernelContext& ctx) {
+    ctx.add_ops(static_cast<std::uint64_t>(b) + 1);
+  };
+  const LaunchConfig configs[] = {
+      {.name = "serial", .blocks = 7, .warp_efficiency = 0.5},
+      {.name = "one_block", .blocks = 1},
+      {.name = "fused", .blocks = 300, .fused_levels = 3},
+  };
+  for (const LaunchConfig& cfg : configs) {
+    const std::uint64_t ops =
+        static_cast<std::uint64_t>(cfg.blocks * (cfg.blocks + 1) / 2);
+    ran.launch(cfg, body);
+    charged.charge(cfg, ops);
+    expect_same_stats(ran.stats(), charged.stats());
+
+    LaunchConfig async = cfg;
+    async.stream = &ran_stream;
+    ran.launch(async, body);
+    async.stream = &charged_stream;
+    charged.charge(async, ops);
+    expect_same_stats(ran.stats(), charged.stats());
+    EXPECT_EQ(ran_stream.ready_us(), charged_stream.ready_us());
+  }
+  // An empty grid has no blocks to do the work.
+  EXPECT_THROW(charged.charge({.name = "empty", .blocks = 0}, 1), Error);
+  charged.charge({.name = "empty", .blocks = 0}, 0);
+  EXPECT_EQ(charged.stats().host_launches, ran.stats().host_launches + 1);
+}
+
+TEST(Charge, HonoursAnArmedLaunchFault) {
+  Device dev(small_spec());
+  fault::ScopedPlan plan("launch=dense_gather@2");
+  dev.charge({.name = "dense_gather", .blocks = 4}, 10);
+  EXPECT_THROW(dev.charge({.name = "dense_gather", .blocks = 4}, 10),
+               LaunchFailure);
+  // The failed launch charged nothing.
+  EXPECT_EQ(dev.stats().host_launches, 1u);
+  EXPECT_EQ(dev.stats().kernel_ops, 10u);
+}
+
+// One-block grids skip the pool: the body runs on the launching thread,
+// its ops are counted, and its exception reaches the caller unchanged.
+TEST(Kernel, OneBlockGridRunsInlineOnTheCallingThread) {
+  ThreadPool pool(4);
+  Device dev(small_spec());
+  dev.use_pool(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int rep = 0; rep < 50; ++rep) {
+    std::thread::id ran_on;
+    dev.launch({.name = "single", .blocks = 1},
+               [&](std::int64_t b, KernelContext& ctx) {
+                 EXPECT_EQ(b, 0);
+                 ran_on = std::this_thread::get_id();
+                 ctx.add_ops(3);
+               });
+    EXPECT_EQ(ran_on, caller);
+  }
+  EXPECT_EQ(dev.stats().kernel_ops, 150u);
+  EXPECT_EQ(dev.stats().host_launches, 50u);
+
+  try {
+    dev.launch({.name = "pivot", .blocks = 1},
+               [](std::int64_t, KernelContext&) {
+                 throw numeric::ZeroPivotError(7, 0.0);
+               });
+    ADD_FAILURE() << "the body's exception was swallowed";
+  } catch (const numeric::ZeroPivotError& e) {
+    EXPECT_EQ(e.column(), 7);
+  }
 }
 
 }  // namespace

@@ -129,6 +129,28 @@ TEST(NumericEdge, DenseWindowRefusesImpossibleDevice) {
   EXPECT_THROW(factorize_dense_window(dev, p.fm, p.schedule), Error);
 }
 
+TEST(NumericEdge, PatternMissingFillThrowsInEveryExecutor) {
+  // Column 0 has L(1,0) and U(0,2), so eliminating it fills (1,2). A
+  // pattern that holds A but not that fill has no slot for the update:
+  // every executor must refuse instead of dropping the contribution.
+  Coo coo;
+  coo.n = 3;
+  for (index_t i = 0; i < 3; ++i) coo.add(i, i, 4.0);
+  coo.add(1, 0, 1.0);
+  coo.add(0, 2, 1.0);
+  const Csr a = coo_to_csr(coo);
+  const scheduling::LevelSchedule s = scheduling::levelize_sequential(
+      scheduling::build_dependency_graph(a));
+
+  FactorMatrix sparse = FactorMatrix::build(a, a);
+  gpusim::Device dev_sparse(gpusim::DeviceSpec::v100_with_memory(1u << 20));
+  EXPECT_THROW(factorize_sparse_bsearch(dev_sparse, sparse, s), Error);
+
+  FactorMatrix dense = FactorMatrix::build(a, a);
+  gpusim::Device dev_dense(gpusim::DeviceSpec::v100_with_memory(1u << 20));
+  EXPECT_THROW(factorize_dense_window(dev_dense, dense, s), Error);
+}
+
 TEST(NumericEdge, FactorMatrixRejectsPatternMissingInput) {
   Coo coo;
   coo.n = 3;
