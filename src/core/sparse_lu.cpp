@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/pipeline_stages.hpp"
 #include "matrix/convert.hpp"
 #include "preprocess/parallel/parallel_preprocess.hpp"
 #include "support/check.hpp"
@@ -34,6 +35,10 @@ const char* mode_name(Mode mode) {
   return "?";
 }
 
+std::uint64_t launch_count(const gpusim::Device& dev) {
+  return dev.stats().host_launches + dev.stats().device_launches;
+}
+
 }  // namespace
 
 FactorResult SparseLU::factorize(const Csr& a_in) {
@@ -47,19 +52,92 @@ FactorResult SparseLU::factorize(const Csr& a_in,
 
 FactorResult SparseLU::factorize_impl(const Csr& a_in,
                                       FactorizationArtifacts* artifacts) {
-  validate(a_in);
-  E2ELU_CHECK_MSG(a_in.n > 0, "empty matrix");
-  E2ELU_CHECK_MSG(!a_in.values.empty(), "matrix has no values");
-
   gpusim::Device dev(options_.device);
   if (options_.pool != nullptr) dev.use_pool(*options_.pool);
   FactorResult res;
-  res.n = a_in.n;
-  const index_t n = a_in.n;
   trace::Span span_root("factorize", dev,
-                        {{"n", n},
+                        {{"n", a_in.n},
                          {"nnz", a_in.nnz()},
                          {"mode", mode_name(options_.mode)}});
+  detail::FrontEnd fe = detail::run_front_end(dev, options_, a_in, res);
+  // Only a shard planner reads the dependency graph: free it before the
+  // numeric phase builds the factor storage.
+  fe.graph = {};
+
+  // ---- Numeric factorization (§3.4).
+  WallTimer t_num;
+  const double sim_before = dev.stats().sim_total_us();
+  const std::uint64_t launches_before = launch_count(dev);
+  bool use_sparse;
+  switch (options_.numeric_format) {
+    case NumericFormat::DenseWindow:
+      use_sparse = false;
+      break;
+    case NumericFormat::SparseBinarySearch:
+      use_sparse = true;
+      break;
+    case NumericFormat::Auto:
+    default:
+      use_sparse = numeric::should_use_sparse_format(options_.device, a_in.n);
+      break;
+  }
+  numeric::FactorMatrix fm = detail::run_numeric_attempts(
+      dev, options_, fe, res,
+      [&](numeric::FactorMatrix& m) {
+        trace::Span span_num("numeric", dev,
+                             {{"format", use_sparse ? "sparse" : "dense"},
+                              {"levels", fe.schedule.num_levels()}});
+        const numeric::NumericStats nstats =
+            use_sparse ? numeric::factorize_sparse_bsearch(
+                             dev, m, fe.schedule, options_.numeric)
+                       : numeric::factorize_dense_window(
+                             dev, m, fe.schedule, options_.numeric);
+        span_num.attr("fused_levels", nstats.fused_levels);
+        return nstats;
+      },
+      [&](FaultKind kind, const std::exception&, bool budget_left) {
+        if (!budget_left) return false;
+        const char* counter = kind == FaultKind::DeviceOutOfMemory
+                                  ? "recovery.numeric.retry"
+                                  : "recovery.launch_retry";
+        if (kind == FaultKind::DeviceOutOfMemory && !use_sparse) {
+          // The dense window is the memory-hungry format; the sparse
+          // binary-search path (§3.4) has no resident-window allocation,
+          // so falling back to it is the structural answer to numeric OOM.
+          use_sparse = true;
+          counter = "recovery.numeric.format_fallback";
+        }
+        trace::MetricsRegistry::global().counter(counter).add(1);
+        return true;
+      });
+  res.used_sparse_numeric = use_sparse;
+  res.numeric.sim_us = dev.stats().sim_total_us() - sim_before;
+  res.numeric.launches = launch_count(dev) - launches_before;
+  res.numeric.wall_ms = t_num.millis();
+
+  {
+    TRACE_SPAN("extract_lu", dev);
+    numeric::extract_lu(fm, res.l, res.u);
+  }
+  res.device_stats = dev.stats();
+  if (artifacts != nullptr) {
+    artifacts->filled = std::move(fe.filled);
+    artifacts->schedule = std::move(fe.schedule);
+    artifacts->use_sparse_numeric = use_sparse;
+  }
+  return res;
+}
+
+namespace detail {
+
+FrontEnd run_front_end(gpusim::Device& dev, const Options& options,
+                       const Csr& a_in, FactorResult& res) {
+  validate(a_in);
+  E2ELU_CHECK_MSG(a_in.n > 0, "empty matrix");
+  E2ELU_CHECK_MSG(!a_in.values.empty(), "matrix has no values");
+  res.n = a_in.n;
+  const index_t n = a_in.n;
+  FrontEnd fe;
 
   // ---- Pre-processing (Figure 2, first box). Serial mode is the
   // paper's host-serial stage, modeled at a single host thread's
@@ -67,14 +145,12 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
   // through the device (preprocess/parallel/). The permutation
   // application and diagonal patch stay host-side in both modes and are
   // accounted as the preprocess remainder.
-  const auto launch_count = [&dev] {
-    return dev.stats().host_launches + dev.stats().device_launches;
-  };
   const bool par_pre =
-      options_.preprocess.mode == PreprocessMode::GpuParallel;
-  const double host_thread_rate = options_.host.ops_per_us_per_thread;
+      options.preprocess.mode == PreprocessMode::GpuParallel;
+  const double host_thread_rate = options.host.ops_per_us_per_thread;
   WallTimer t_pre;
-  Csr a = a_in;
+  Csr& a = fe.a;
+  a = a_in;
   res.row_perm = identity_permutation(n);
   res.col_perm = identity_permutation(n);
   std::uint64_t pre_other_ops = 0;
@@ -86,45 +162,45 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
       WallTimer t;
       const double sim0 = dev.stats().sim_total_us();
       const std::uint64_t ops0 = dev.stats().kernel_ops;
-      const std::uint64_t launches0 = launch_count();
+      const std::uint64_t launches0 = launch_count(dev);
       std::uint64_t serial_ops = 0;
       body(serial_ops);
       report.ops =
           serial_ops + (dev.stats().kernel_ops - ops0);
-      report.launches = launch_count() - launches0;
+      report.launches = launch_count(dev) - launches0;
       report.sim_us = (dev.stats().sim_total_us() - sim0) +
                       static_cast<double>(serial_ops) / host_thread_rate;
       report.wall_ms = t.millis();
     };
 
-    if (options_.preprocess.equilibrate && !a.values.empty()) {
+    if (options.preprocess.equilibrate && !a.values.empty()) {
       run_subphase(res.preprocess_scale, [&](std::uint64_t& ops) {
         res.scaling = par_pre ? preprocess::parallel_equilibrate(dev, a)
                               : equilibrate(a, &ops);
       });
     }
-    if (options_.match_diagonal && !has_full_diagonal(a)) {
+    if (options.match_diagonal && !has_full_diagonal(a)) {
       run_subphase(res.preprocess_match, [&](std::uint64_t& ops) {
         const Permutation q =
             par_pre ? preprocess::parallel_diagonal_matching(
-                          dev, a, options_.preprocess)
+                          dev, a, options.preprocess)
                     : diagonal_matching(a, &ops);
         a = permute(a, res.row_perm, q);
         res.col_perm = q;
         pre_other_ops += static_cast<std::uint64_t>(a.nnz());  // permute
       });
     }
-    if (options_.ordering != Ordering::None) {
+    if (options.ordering != Ordering::None) {
       run_subphase(res.preprocess_order, [&](std::uint64_t& ops) {
         Permutation p;
-        if (options_.ordering == Ordering::Rcm) {
+        if (options.ordering == Ordering::Rcm) {
           p = rcm_ordering(a, &ops);
         } else if (par_pre) {
           p = preprocess::parallel_min_degree_ordering(dev, a,
-                                                       options_.preprocess);
+                                                       options.preprocess);
         } else {
           MinDegreeStats st;
-          p = min_degree_ordering(a, options_.preprocess, &st);
+          p = min_degree_ordering(a, options.preprocess, &st);
           ops = st.ops;
         }
         a = permute(a, p, p);
@@ -136,8 +212,8 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
         res.col_perm = std::move(composed);
       });
     }
-    if (options_.diag_patch.has_value()) {
-      patch_zero_diagonal(a, *options_.diag_patch);
+    if (options.diag_patch.has_value()) {
+      patch_zero_diagonal(a, *options.diag_patch);
       pre_other_ops += static_cast<std::uint64_t>(a.nnz());
     }
   }
@@ -155,31 +231,31 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
   // ---- Symbolic factorization (§3.2).
   WallTimer t_sym;
   double sim_before = dev.stats().sim_total_us();
-  std::uint64_t launches_before = launch_count();
+  std::uint64_t launches_before = launch_count(dev);
   symbolic::SymbolicResult sym;
-  bool symbolic_on_device = options_.mode != Mode::CpuBaseline;
+  bool symbolic_on_device = options.mode != Mode::CpuBaseline;
   {
-    trace::Span span_sym("symbolic", dev, {{"mode", mode_name(options_.mode)}});
+    trace::Span span_sym("symbolic", dev, {{"mode", mode_name(options.mode)}});
     const int max_attempts =
-        options_.recovery.enabled ? options_.recovery.max_symbolic_attempts : 1;
+        options.recovery.enabled ? options.recovery.max_symbolic_attempts : 1;
     for (int attempt = 0;; ++attempt) {
       try {
         if (attempt == 0) {
-          switch (options_.mode) {
+          switch (options.mode) {
             case Mode::OutOfCoreGpu:
-              sym = symbolic::symbolic_out_of_core(dev, a, options_.symbolic);
+              sym = symbolic::symbolic_out_of_core(dev, a, options.symbolic);
               break;
             case Mode::OutOfCoreGpuDynamic:
               sym = symbolic::symbolic_out_of_core_dynamic(dev, a,
-                                                           options_.symbolic);
+                                                           options.symbolic);
               break;
             case Mode::UnifiedMemoryGpu:
               sym = symbolic::symbolic_unified_memory(dev, a, /*prefetch=*/true,
-                                                      options_.symbolic);
+                                                      options.symbolic);
               break;
             case Mode::UnifiedMemoryGpuNoPrefetch:
               sym = symbolic::symbolic_unified_memory(
-                  dev, a, /*prefetch=*/false, options_.symbolic);
+                  dev, a, /*prefetch=*/false, options.symbolic);
               break;
             case Mode::CpuBaseline:
               sym = symbolic::symbolic_cpu(a);
@@ -191,7 +267,7 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
           // rows' queues, shrinking the per-row scratch the failed
           // attempt could not fit; the result pattern is identical.
           sym = symbolic::symbolic_out_of_core_multipart(
-              dev, a, static_cast<index_t>(1) << attempt, options_.symbolic);
+              dev, a, static_cast<index_t>(1) << attempt, options.symbolic);
           symbolic_on_device = true;
         }
         break;
@@ -215,39 +291,39 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
     }
     res.symbolic.sim_us = symbolic_on_device
                               ? dev.stats().sim_total_us() - sim_before
-                              : options_.host.time_us(sym.ops);
+                              : options.host.time_us(sym.ops);
     span_sym.attr("chunks", sym.num_chunks);
     span_sym.attr("fill_nnz", sym.filled.nnz());
   }
   res.symbolic.wall_ms = t_sym.millis();
   res.symbolic.ops = sym.ops;
-  res.symbolic.launches = launch_count() - launches_before;
+  res.symbolic.launches = launch_count(dev) - launches_before;
   res.fill_nnz = sym.filled.nnz();
   res.symbolic_chunks = sym.num_chunks;
+  fe.filled = std::move(sym.filled);
 
   // ---- Levelization (§3.3).
   WallTimer t_lvl;
   sim_before = dev.stats().sim_total_us();
-  launches_before = launch_count();
-  scheduling::LevelSchedule schedule;
+  launches_before = launch_count(dev);
   {
     trace::Span span_lvl("levelize", dev);
     // Levelization allocates nothing persistent, so one straight retry
     // covers transient (injected) faults before giving up.
-    const int max_attempts = options_.recovery.enabled ? 2 : 1;
+    const int max_attempts = options.recovery.enabled ? 2 : 1;
     for (int attempt = 0;; ++attempt) {
       try {
-        const scheduling::DependencyGraph graph =
-            scheduling::build_dependency_graph(sym.filled,
-                                               options_.dependency_rule);
-        if (options_.mode == Mode::CpuBaseline) {
-          schedule = scheduling::levelize_sequential(graph);
+        fe.graph = scheduling::build_dependency_graph(fe.filled,
+                                                      options.dependency_rule);
+        const scheduling::DependencyGraph& graph = fe.graph;
+        if (options.mode == Mode::CpuBaseline) {
+          fe.schedule = scheduling::levelize_sequential(graph);
           res.levelize.ops =
               static_cast<std::uint64_t>(graph.n) +
               static_cast<std::uint64_t>(graph.num_edges());
           // Previous work runs levelization single-threaded on the host.
           res.levelize.sim_us = static_cast<double>(res.levelize.ops) /
-                                options_.host.ops_per_us_per_thread;
+                                options.host.ops_per_us_per_thread;
         } else {
           // cons_graph (Algorithm 5 line 14): the dependency graph is built
           // on-device from the filled pattern.
@@ -261,7 +337,7 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
                            graph.adj_ptr[hi] - graph.adj_ptr[lo]));
                      });
           const std::uint64_t ops_before_lvl = dev.stats().kernel_ops;
-          schedule = scheduling::levelize_gpu_dynamic(dev, graph);
+          fe.schedule = scheduling::levelize_gpu_dynamic(dev, graph);
           res.levelize.ops = dev.stats().kernel_ops - ops_before_lvl;
           res.levelize.sim_us = dev.stats().sim_total_us() - sim_before;
         }
@@ -283,31 +359,22 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
         trace::MetricsRegistry::global().counter("recovery.launch_retry").add(1);
       }
     }
-    span_lvl.attr("levels", schedule.num_levels());
+    span_lvl.attr("levels", fe.schedule.num_levels());
   }
   res.levelize.wall_ms = t_lvl.millis();
-  res.levelize.launches = launch_count() - launches_before;
-  res.num_levels = schedule.num_levels();
+  res.levelize.launches = launch_count(dev) - launches_before;
+  res.num_levels = fe.schedule.num_levels();
+  return fe;
+}
 
-  // ---- Numeric factorization (§3.4).
-  WallTimer t_num;
-  sim_before = dev.stats().sim_total_us();
-  launches_before = launch_count();
-  bool use_sparse;
-  switch (options_.numeric_format) {
-    case NumericFormat::DenseWindow:
-      use_sparse = false;
-      break;
-    case NumericFormat::SparseBinarySearch:
-      use_sparse = true;
-      break;
-    case NumericFormat::Auto:
-    default:
-      use_sparse = numeric::should_use_sparse_format(options_.device, n);
-      break;
-  }
+numeric::FactorMatrix run_numeric_attempts(gpusim::Device& dev,
+                                           const Options& options,
+                                           const FrontEnd& fe,
+                                           FactorResult& res,
+                                           const NumericExecutor& execute,
+                                           const DeviceFaultResponse& on_fault) {
   const int max_numeric =
-      options_.recovery.enabled ? options_.recovery.max_numeric_attempts : 1;
+      options.recovery.enabled ? options.recovery.max_numeric_attempts : 1;
   numeric::FactorMatrix fm;
   std::vector<index_t> perturbed_cols;
   index_t last_zero_col = -1;
@@ -317,28 +384,26 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
     // top of the fresh scatter.
     {
       TRACE_SPAN("numeric.build", dev);
-      fm = numeric::FactorMatrix::build(sym.filled, a);
+      fm = numeric::FactorMatrix::build(fe.filled, fe.a);
     }
-    const value_t bump = options_.diag_patch.value_or(value_t{1});
+    const value_t bump = options.diag_patch.value_or(value_t{1});
     for (const index_t c : perturbed_cols) {
       fm.csc.values[static_cast<std::size_t>(fm.diag_pos[c])] += bump;
     }
+    const bool budget_left = attempt + 1 < max_numeric;
+    const auto device_fault = [&](FaultKind kind, const std::exception& e) {
+      if (!on_fault(kind, e, budget_left)) {
+        throw FactorError(kind, "numeric", e.what());
+      }
+      ++res.recovery_retries;
+    };
     try {
-      trace::Span span_num("numeric", dev,
-                           {{"format", use_sparse ? "sparse" : "dense"},
-                            {"levels", schedule.num_levels()}});
-      const numeric::NumericStats nstats =
-          use_sparse
-              ? numeric::factorize_sparse_bsearch(dev, fm, schedule,
-                                                  options_.numeric)
-              : numeric::factorize_dense_window(dev, fm, schedule,
-                                                options_.numeric);
+      const numeric::NumericStats nstats = execute(fm);
       res.numeric.ops = nstats.ops;
       res.fused_levels = nstats.fused_levels;
-      span_num.attr("fused_levels", nstats.fused_levels);
-      break;
+      return fm;
     } catch (const numeric::ZeroPivotError& e) {
-      if (attempt + 1 >= max_numeric) {
+      if (!budget_left) {
         throw FactorError(FaultKind::ZeroPivot, "numeric", e.what(),
                           e.column());
       }
@@ -360,48 +425,14 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
             .add(1);
       }
     } catch (const gpusim::OutOfDeviceMemory& e) {
-      if (attempt + 1 >= max_numeric) {
-        throw FactorError(FaultKind::DeviceOutOfMemory, "numeric", e.what());
-      }
-      ++res.recovery_retries;
-      if (!use_sparse) {
-        // The dense window is the memory-hungry format; the sparse
-        // binary-search path (§3.4) has no resident-window allocation, so
-        // falling back to it is the structural answer to numeric OOM.
-        use_sparse = true;
-        trace::MetricsRegistry::global()
-            .counter("recovery.numeric.format_fallback")
-            .add(1);
-      } else {
-        trace::MetricsRegistry::global()
-            .counter("recovery.numeric.retry")
-            .add(1);
-      }
+      device_fault(FaultKind::DeviceOutOfMemory, e);
     } catch (const gpusim::LaunchFailure& e) {
-      if (attempt + 1 >= max_numeric) {
-        throw FactorError(FaultKind::LaunchFailed, "numeric", e.what());
-      }
-      ++res.recovery_retries;
-      trace::MetricsRegistry::global().counter("recovery.launch_retry").add(1);
+      device_fault(FaultKind::LaunchFailed, e);
     }
   }
-  res.used_sparse_numeric = use_sparse;
-  res.numeric.sim_us = dev.stats().sim_total_us() - sim_before;
-  res.numeric.launches = launch_count() - launches_before;
-  res.numeric.wall_ms = t_num.millis();
-
-  {
-    TRACE_SPAN("extract_lu", dev);
-    numeric::extract_lu(fm, res.l, res.u);
-  }
-  res.device_stats = dev.stats();
-  if (artifacts != nullptr) {
-    artifacts->filled = std::move(sym.filled);
-    artifacts->schedule = std::move(schedule);
-    artifacts->use_sparse_numeric = use_sparse;
-  }
-  return res;
 }
+
+}  // namespace detail
 
 void lower_solve_unit(const Csr& l, std::vector<value_t>& x) {
   for (index_t i = 0; i < l.n; ++i) {

@@ -2,22 +2,27 @@
 // gpusim::DeviceGroup.
 //
 // Pipeline shape (per factorize):
-//   pre-processing (host)  — identical to SparseLU
-//   symbolic + levelization — on member 0, identical code/spec, so the
-//                             filled pattern and schedule are the ones a
-//                             single device would produce
+//   preprocess, symbolic,   — SparseLU's own stages (detail::run_front_end)
+//   levelization              on member 0 with the same Options, so the
+//                             permutations, scaling, filled pattern,
+//                             schedule and phase charges are the ones a
+//                             single device produces
 //   shard planning          — elimination-forest components packed per
 //                             device (sharding/shard_plan.hpp), with the
 //                             irregular-blocking hub fallback and a
 //                             model-based degrade decision
-//   sharded numeric         — each level executes as one kernel per
-//                             (level, device) over that device's columns
-//                             on its own stream; cross-shard update
-//                             contributions ship as explicit peer
-//                             transfers at the producing level's boundary,
-//                             ordered by events (PR5 machinery)
-//   extract + solves        — host extract; sharded level-parallel
-//                             triangular solves over the same partition
+//   sharded numeric         — SparseLU's attempt loop
+//                             (detail::run_numeric_attempts) around a
+//                             per-device executor: each level executes as
+//                             one kernel per (level, device) over that
+//                             device's columns on its own stream;
+//                             cross-shard update contributions ship as
+//                             explicit peer transfers at the producing
+//                             level's boundary, ordered by events
+//   extract + solves        — host extract; solve() returns
+//                             SparseLU::solve's values and charges
+//                             level-parallel triangular solves over the
+//                             same partition
 //
 // Bit-exactness invariant (test- and bench-gated): sharded factors are
 // memcmp-identical to single-device factors. The numeric phase applies
@@ -34,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -95,10 +99,9 @@ class ShardedFactorizer {
   FactorResult factorize(const Csr& a, ShardReport& report);
 
   /// Sharded level-parallel triangular solves of A x = b against the last
-  /// factorize()'s partition. Values are computed by the same
-  /// substitution code as SparseLU::solve (identical results); the level
-  /// kernels are charged per owning device with per-level peer shipping
-  /// of boundary x entries.
+  /// factorize()'s partition. The values are SparseLU::solve(f, b); the
+  /// level kernels are charged per owning device with per-level peer
+  /// shipping of boundary x entries.
   std::vector<value_t> solve(const FactorResult& f, std::span<const value_t> b,
                              ShardSolveStats* stats = nullptr);
 
@@ -116,7 +119,9 @@ class ShardedFactorizer {
                                     const numeric::LevelPlan& lp,
                                     const ShardPlan& plan,
                                     const std::vector<int>& active,
-                                    int* failed_device, ShardReport& report);
+                                    int* failed_device);
+  /// Host + device launches over every member.
+  std::uint64_t group_launches() const;
 
   Options base_;
   ShardingOptions sharding_;

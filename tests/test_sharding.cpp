@@ -3,7 +3,8 @@
 // sum of per-device DeviceStats deltas plus peer-pair deltas tiles the
 // group totals exactly), the shard planner (component packing, hub
 // fallback, degrade estimate), and the cross-device equivalence property:
-// for any matrix and any group size, ShardedFactorizer's factors and
+// for any matrix, any group size and any swept preprocess / ordering /
+// scaling / Mode / matching combination, ShardedFactorizer's factors and
 // solves are bit-identical to a single device running SparseLU with the
 // same options — sharding models time, never arithmetic. Failing
 // equivalence cases shrink to the smallest (seed, n, devices) triple.
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -26,6 +28,7 @@
 #include "fault/fault.hpp"
 #include "gpusim/device_group.hpp"
 #include "matrix/generators.hpp"
+#include "preprocess/preprocess.hpp"
 #include "refactor/refactor.hpp"
 #include "scheduling/levelize.hpp"
 #include "service/factor_service.hpp"
@@ -510,23 +513,94 @@ ShardCase make_shard_case(std::uint64_t seed, index_t n) {
   return c;
 }
 
+/// One point of the option sweep. Every option the sharded path shares
+/// with SparseLU must leave the two bit-identical, so the equivalence
+/// property runs over these as well as over (seed, n, devices).
+struct OptionVariant {
+  PreprocessMode preprocess;
+  Ordering ordering;
+  bool equilibrate;
+  Mode mode;
+  bool match_diagonal;
+};
+
+std::string describe(const OptionVariant& v) {
+  static const char* const kOrdering[] = {"None", "Rcm", "MinDegree"};
+  static const char* const kMode[] = {"OutOfCoreGpu", "OutOfCoreGpuDynamic",
+                                      "UnifiedMemoryGpu",
+                                      "UnifiedMemoryGpuNoPrefetch",
+                                      "CpuBaseline"};
+  return std::string(v.preprocess == PreprocessMode::Serial ? "Serial"
+                                                            : "GpuParallel") +
+         "+" + kOrdering[static_cast<int>(v.ordering)] +
+         (v.equilibrate ? "+equilibrate" : "") + "+" +
+         kMode[static_cast<int>(v.mode)] +
+         (v.match_diagonal ? "+match_diagonal" : "");
+}
+
+Options variant_options(const OptionVariant& v, ThreadPool& pool) {
+  Options opt = equiv_options(pool);
+  opt.preprocess.mode = v.preprocess;
+  opt.ordering = v.ordering;
+  opt.preprocess.equilibrate = v.equilibrate;
+  opt.mode = v.mode;
+  opt.match_diagonal = v.match_diagonal;
+  return opt;
+}
+
+/// The equiv_options baseline, then a pairwise covering set of
+/// PreprocessMode x Ordering x equilibrate x Mode x match_diagonal: every
+/// value pair of any two of those options appears in at least one row.
+std::vector<OptionVariant> option_sweep() {
+  using PM = PreprocessMode;
+  constexpr PM S = PM::Serial, G = PM::GpuParallel;
+  constexpr Mode Ooc = Mode::OutOfCoreGpu, Dyn = Mode::OutOfCoreGpuDynamic,
+                 Cpu = Mode::CpuBaseline;
+  return {
+      {S, Ordering::None, false, Dyn, false},  // equiv_options itself
+      {S, Ordering::None, false, Ooc, false},
+      {G, Ordering::None, true, Dyn, false},
+      {G, Ordering::None, false, Cpu, true},
+      {G, Ordering::Rcm, true, Ooc, true},
+      {S, Ordering::Rcm, false, Dyn, true},
+      {S, Ordering::Rcm, true, Cpu, false},
+      {G, Ordering::MinDegree, false, Ooc, false},
+      {G, Ordering::MinDegree, true, Dyn, true},
+      {S, Ordering::MinDegree, true, Cpu, true},
+  };
+}
+
+/// Moves every row down by one (cyclically), so the diagonal is no longer
+/// full and diagonal matching has a permutation to find.
+Csr shift_rows(const Csr& a) {
+  Permutation p(static_cast<std::size_t>(a.n));
+  Permutation identity(static_cast<std::size_t>(a.n));
+  for (index_t i = 0; i < a.n; ++i) {
+    p[static_cast<std::size_t>(i)] = (i + 1) % a.n;
+    identity[static_cast<std::size_t>(i)] = i;
+  }
+  return permute(a, p, identity);
+}
+
 /// One equivalence check. allow_degrade is off so the run actually
 /// executes on `devices` members (the property must hold on the real
 /// multi-device path, peer transfers included, not via the degrade
 /// escape hatch).
 std::optional<std::string> equivalence_failure(std::uint64_t seed, index_t n,
-                                               int devices) {
-  const ShardCase c = make_shard_case(seed, n);
+                                               int devices,
+                                               const OptionVariant& v) {
+  ShardCase c = make_shard_case(seed, n);
+  if (v.match_diagonal) c.a = shift_rows(c.a);
   ThreadPool ref_pool(1);
   FactorResult want;
   try {
-    want = SparseLU(equiv_options(ref_pool)).factorize(c.a);
+    want = SparseLU(variant_options(v, ref_pool)).factorize(c.a);
   } catch (const std::exception& e) {
     return "single-device factorize threw: " + std::string(e.what());
   }
 
   ThreadPool shard_pool(1);
-  ShardedFactorizer sharded(equiv_options(shard_pool),
+  ShardedFactorizer sharded(variant_options(v, shard_pool),
                             group_of(devices, false));
   ShardReport rep;
   FactorResult got;
@@ -548,12 +622,14 @@ std::optional<std::string> equivalence_failure(std::uint64_t seed, index_t n,
   return std::nullopt;
 }
 
-TEST(Sharding, FactorsAndSolvesMatchSingleDeviceBitForBit) {
+/// Sweeps (seed, n, devices) under one option variant and returns the
+/// first failure, shrunk to the smallest failing triple.
+std::optional<std::string> smallest_failure(const OptionVariant& v) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const index_t n0 = 256 + static_cast<index_t>((seed * 131) % 400);
     for (const int devices0 : {1, 2, 4, 8}) {
       std::optional<std::string> failure =
-          equivalence_failure(seed, n0, devices0);
+          equivalence_failure(seed, n0, devices0, v);
       if (!failure.has_value()) continue;
 
       // Shrink: halve n while the failure reproduces, then halve the
@@ -562,21 +638,70 @@ TEST(Sharding, FactorsAndSolvesMatchSingleDeviceBitForBit) {
       int devices = devices0;
       std::string detail = *failure;
       while (n / 2 >= 32) {
-        const auto smaller = equivalence_failure(seed, n / 2, devices);
+        const auto smaller = equivalence_failure(seed, n / 2, devices, v);
         if (!smaller.has_value()) break;
         n /= 2;
         detail = *smaller;
       }
       while (devices / 2 >= 1) {
-        const auto fewer = equivalence_failure(seed, n, devices / 2);
+        const auto fewer = equivalence_failure(seed, n, devices / 2, v);
         if (!fewer.has_value()) break;
         devices /= 2;
         detail = *fewer;
       }
-      ADD_FAILURE() << "smallest failing case: seed=" << seed << " n=" << n
-                    << " devices=" << devices << " — " << detail;
-      return;
+      return "seed=" + std::to_string(seed) + " n=" + std::to_string(n) +
+             " devices=" + std::to_string(devices) + " — " + detail;
     }
+  }
+  return std::nullopt;
+}
+
+TEST(Sharding, FactorsAndSolvesMatchSingleDeviceBitForBit) {
+  for (const OptionVariant& v : option_sweep()) {
+    if (const auto failure = smallest_failure(v)) {
+      ADD_FAILURE() << "smallest failing case under " << describe(v) << ": "
+                    << *failure;
+    }
+  }
+}
+
+/// The front end (preprocess, symbolic, levelize) is SparseLU's own, run
+/// on member 0, so a one-member group reports the same phase costs.
+void expect_same_phase(const PhaseReport& got, const PhaseReport& want,
+                       const char* phase) {
+  SCOPED_TRACE(phase);
+  EXPECT_NEAR(got.sim_us, want.sim_us, 1e-9 * std::abs(want.sim_us));
+  EXPECT_EQ(got.ops, want.ops);
+  EXPECT_EQ(got.launches, want.launches);
+}
+
+TEST(Sharding, OneMemberGroupChargesTheSingleDeviceFrontEnd) {
+  const Csr a = shift_rows(gen_circuit(1500, 4.0, 2, 16, 0xface));
+  const OptionVariant defaults{PreprocessMode::Serial, Ordering::Rcm, false,
+                               Mode::OutOfCoreGpu, true};
+  const OptionVariant device_amd{PreprocessMode::GpuParallel,
+                                 Ordering::MinDegree, true,
+                                 Mode::OutOfCoreGpuDynamic, true};
+  for (const OptionVariant& v : {defaults, device_amd}) {
+    SCOPED_TRACE(describe(v));
+    ThreadPool ref_pool(1);
+    const FactorResult want = SparseLU(variant_options(v, ref_pool)).factorize(a);
+    ThreadPool shard_pool(1);
+    ShardedFactorizer one(variant_options(v, shard_pool), group_of(1));
+    const FactorResult got = one.factorize(a);
+
+    expect_same_phase(got.preprocess, want.preprocess, "preprocess");
+    expect_same_phase(got.preprocess_match, want.preprocess_match,
+                      "preprocess_match");
+    expect_same_phase(got.preprocess_order, want.preprocess_order,
+                      "preprocess_order");
+    expect_same_phase(got.preprocess_scale, want.preprocess_scale,
+                      "preprocess_scale");
+    expect_same_phase(got.symbolic, want.symbolic, "symbolic");
+    expect_same_phase(got.levelize, want.levelize, "levelize");
+    // Every sub-phase actually ran, so none of the comparisons is vacuous.
+    EXPECT_GT(got.preprocess_match.ops, 0u);
+    EXPECT_GT(got.preprocess_order.ops, 0u);
   }
 }
 
@@ -612,46 +737,60 @@ TEST(Sharding, HubMatricesShipPeerTrafficAndStayExact) {
 // Service routing: big jobs go to the device group.
 
 TEST(Sharding, ServiceRoutesBigJobsToTheGroup) {
-  service::FactorServiceOptions sopt;
-  sopt.workers = 1;
-  sopt.deterministic = true;
-  sopt.pipeline.device = test_spec();
-  sopt.pipeline.mode = Mode::OutOfCoreGpuDynamic;
-  sopt.pipeline.numeric_format = NumericFormat::SparseBinarySearch;
-  sopt.pipeline.ordering = Ordering::None;
-  sopt.pipeline.match_diagonal = false;
-  sopt.sharding.enabled = true;
-  sopt.sharding.devices = 2;
-  sopt.sharding.min_n = 500;
+  service::FactorServiceOptions base;
+  base.workers = 1;
+  base.deterministic = true;
+  base.pipeline.device = test_spec();
+  base.pipeline.mode = Mode::OutOfCoreGpuDynamic;
+  base.pipeline.numeric_format = NumericFormat::SparseBinarySearch;
+  base.pipeline.ordering = Ordering::None;
+  base.pipeline.match_diagonal = false;
+  base.sharding.enabled = true;
+  base.sharding.devices = 2;
+  base.sharding.min_n = 500;
+
+  // The same route under on-device preprocessing: AMD ordering and
+  // equilibration must reach the group exactly as they reach one device.
+  service::FactorServiceOptions device_amd = base;
+  device_amd.pipeline.preprocess.mode = PreprocessMode::GpuParallel;
+  device_amd.pipeline.ordering = Ordering::MinDegree;
+  device_amd.pipeline.preprocess.equilibrate = true;
 
   const Csr big = many_dense_blocks(80, 8, 21);   // n = 640 >= min_n
   const Csr small = many_dense_blocks(16, 8, 22);  // n = 128 < min_n
   const std::vector<value_t> b = rhs_for(big.n, 0xabc);
 
-  service::FactorService svc(sopt);
-  auto fut_big = svc.submit(big, b, "tenant-a");
-  auto fut_small = svc.submit(small, std::nullopt, "tenant-a");
-  service::JobResult rbig = fut_big.get();
-  service::JobResult rsmall = fut_small.get();
+  for (const service::FactorServiceOptions& sopt : {base, device_amd}) {
+    const bool reorders = sopt.pipeline.ordering != Ordering::None;
+    SCOPED_TRACE(reorders ? "GpuParallel+MinDegree+equilibrate" : "defaults");
+    service::FactorService svc(sopt);
+    auto fut_big = svc.submit(big, b, "tenant-a");
+    auto fut_small = svc.submit(small, std::nullopt, "tenant-a");
+    service::JobResult rbig = fut_big.get();
+    service::JobResult rsmall = fut_small.get();
 
-  EXPECT_TRUE(rbig.sharded);
-  EXPECT_FALSE(rbig.cache_hit);
-  EXPECT_TRUE(rbig.report.sharded);
-  EXPECT_GE(rbig.report.sharded_devices, 1);
-  EXPECT_GT(rbig.launches, 0u);
-  EXPECT_FALSE(rsmall.sharded);
-  EXPECT_FALSE(rsmall.report.sharded);
-  EXPECT_EQ(svc.stats().sharded_jobs, 1u);
+    EXPECT_TRUE(rbig.sharded);
+    EXPECT_FALSE(rbig.cache_hit);
+    EXPECT_TRUE(rbig.report.sharded);
+    EXPECT_GE(rbig.report.sharded_devices, 1);
+    EXPECT_GT(rbig.launches, 0u);
+    EXPECT_FALSE(rsmall.sharded);
+    EXPECT_FALSE(rsmall.report.sharded);
+    EXPECT_EQ(svc.stats().sharded_jobs, 1u);
+    if (reorders) {
+      EXPECT_GT(rbig.report.preprocess_order_us, 0.0);
+    }
 
-  // Routing is a latency decision, never a numerics one: the sharded
-  // job's factors and solve match a plain single-device run bit for bit.
-  ThreadPool serial(1);
-  Options ref = equiv_options(serial);
-  ref.device = sopt.pipeline.device;
-  const FactorResult want = SparseLU(ref).factorize(big);
-  EXPECT_EQ(factors_mismatch(rbig.factors, want), std::nullopt);
-  ASSERT_TRUE(rbig.x.has_value());
-  EXPECT_TRUE(values_identical(*rbig.x, SparseLU::solve(want, b)));
+    // Routing is a latency decision, never a numerics one: the sharded
+    // job's factors and solve match a plain single-device run bit for bit.
+    ThreadPool serial(1);
+    Options ref = sopt.pipeline;
+    ref.pool = &serial;
+    const FactorResult want = SparseLU(ref).factorize(big);
+    EXPECT_EQ(factors_mismatch(rbig.factors, want), std::nullopt);
+    ASSERT_TRUE(rbig.x.has_value());
+    EXPECT_TRUE(values_identical(*rbig.x, SparseLU::solve(want, b)));
+  }
 }
 
 // ---------------------------------------------------------------------------
