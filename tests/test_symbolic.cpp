@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault.hpp"
 #include "gpusim/device.hpp"
 #include "matrix/generators.hpp"
 #include "symbolic/fill2.hpp"
 #include "symbolic/symbolic.hpp"
+#include "trace/metrics.hpp"
 
 namespace e2elu::symbolic {
 namespace {
@@ -177,6 +179,129 @@ TEST_P(MultipartTest, AnyPartCountProducesTheReferencePattern) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Parts, MultipartTest, ::testing::Values(1, 2, 3, 5));
+
+// A device that holds the matrix, the fill counts and the filled output
+// plus `scratch_rows` rows of full-size traversal scratch, so every driver
+// on it has to chunk.
+gpusim::Device chunking_device(const Csr& a, offset_t fill_nnz,
+                               std::size_t scratch_rows) {
+  const std::size_t resident_bytes =
+      a.row_ptr.size() * sizeof(offset_t) +
+      a.col_idx.size() * sizeof(index_t) +
+      static_cast<std::size_t>(a.n) * sizeof(index_t) +
+      static_cast<std::size_t>(fill_nnz) * sizeof(index_t);
+  return gpusim::Device(gpusim::DeviceSpec::v100_with_memory(
+      resident_bytes + scratch_bytes_per_row(a.n) * scratch_rows));
+}
+
+// Modeled counters of one out-of-core driver call on a fresh device.
+struct DriverGolden {
+  const char* label;
+  std::uint64_t kernel_ops;
+  std::uint64_t host_launches;
+  double sim_total_us;
+  index_t num_chunks;
+};
+
+void expect_golden(const gpusim::Device& dev, const SymbolicResult& got,
+                   const SymbolicResult& ref, const DriverGolden& g) {
+  SCOPED_TRACE(g.label);
+  EXPECT_TRUE(same_pattern(ref.filled, got.filled));
+  EXPECT_EQ(got.fill_count, ref.fill_count);
+  const gpusim::DeviceStats& st = dev.stats();
+  EXPECT_EQ(st.kernel_ops, g.kernel_ops);
+  EXPECT_EQ(st.host_launches, g.host_launches);
+  EXPECT_EQ(st.sim_total_us(), g.sim_total_us);
+  EXPECT_EQ(got.num_chunks, g.num_chunks);
+}
+
+// Pins every modeled counter of the chunked drivers to fixed values, so a
+// change to how the host executes them cannot move what they charge.
+TEST(OutOfCoreCounters, ChunkedDriversChargeFixedCounters) {
+  const DriverGolden goldens[] = {
+      {"circuit ooc", 227011u, 11u, 118.99674947011994, 4},
+      {"circuit dynamic", 247910u, 11u, 129.06272116387058, 4},
+      {"circuit multipart3", 247910u, 11u, 126.37486661845058, 4},
+      {"circuit multipart5", 247910u, 15u, 160.0422970306646, 6},
+      {"planar ooc", 73587u, 12u, 92.877228981442201, 5},
+      {"planar dynamic", 85623u, 15u, 116.16834923980115, 6},
+      {"planar multipart3", 85623u, 17u, 125.40615633653447, 7},
+      {"planar multipart5", 85623u, 21u, 143.88177053000109, 9},
+  };
+  const Csr mats[] = {make_case(2, 14, 5), make_case(3, 12, 42)};
+  std::size_t gi = 0;
+  for (const Csr& a : mats) {
+    const SymbolicResult ref = symbolic_reference(a);
+    for (index_t parts : {1, 2, 3, 5}) {
+      gpusim::Device dev = chunking_device(
+          a, ref.filled.nnz(), std::max<std::size_t>(2, a.n / 5));
+      const SymbolicResult got =
+          parts == 1   ? symbolic_out_of_core(dev, a)
+          : parts == 2 ? symbolic_out_of_core_dynamic(dev, a)
+                       : symbolic_out_of_core_multipart(dev, a, parts);
+      EXPECT_GT(got.num_chunks, 1) << "test should actually chunk";
+      expect_golden(dev, got, ref, goldens[gi++]);
+    }
+  }
+}
+
+// Same pin for a bounded partition that really overflows: no planner
+// sample reaches the "large" fraction (> 1), so n1 = n and all rows form
+// one bounded range whose queues hold max(64, sampled peak + 1) entries.
+// Rows whose frontier exceeds that spill to the full-size pass.
+TEST(OutOfCoreCounters, OverflowingBoundedPartitionChargesFixedCounters) {
+  const Csr a = gen_circuit(900, 4.0, 4, 40, 5);
+  SymbolicOptions opt;
+  opt.large_frontier_fraction = 2.0;
+  opt.queue_bound_margin = 1.0;
+
+  const std::vector<index_t> prof = frontier_profile(a);
+  const index_t samples = std::min<index_t>(opt.planner_samples, a.n);
+  index_t sampled_peak = 0;
+  for (index_t s = 0; s < samples; ++s) {
+    const auto row = static_cast<std::size_t>(
+        (static_cast<std::int64_t>(s) + 1) * a.n / (samples + 1));
+    sampled_peak = std::max(sampled_peak, prof[row]);
+  }
+  const auto qbound = std::max<std::size_t>(
+      64, static_cast<std::size_t>(opt.queue_bound_margin *
+                                   (sampled_peak + 1)));
+  ASSERT_LT(qbound, static_cast<std::size_t>(a.n));
+  const auto overflowing = std::count_if(
+      prof.begin(), prof.end(),
+      [&](index_t f) { return static_cast<std::size_t>(f) > qbound; });
+  ASSERT_GT(overflowing, 0) << "no row outgrows the bounded queues";
+
+  const SymbolicResult ref = symbolic_reference(a);
+  gpusim::Device dev = chunking_device(a, ref.filled.nnz(), a.n / 5);
+  const SymbolicResult got = symbolic_out_of_core_dynamic(dev, a, opt);
+  EXPECT_GT(got.num_chunks, 1);
+  expect_golden(dev, got, ref, {"circuit overflow", 4655043u, 9u, 478.64298056372513, 3});
+}
+
+// An injected OOM on the stage-1 scratch reservation (the 4th allocation:
+// after the matrix's two arrays and the fill counts) halves the chunk and
+// retries: more chunks, the reference pattern, one retry counted.
+TEST(OutOfCoreCounters, ScratchOomHalvesTheChunkAndRetries) {
+  const Csr a = make_case(2, 14, 5);
+  const SymbolicResult ref = symbolic_reference(a);
+  gpusim::Device clean_dev = chunking_device(a, ref.filled.nnz(), a.n / 5);
+  const SymbolicResult clean = symbolic_out_of_core(clean_dev, a);
+
+  trace::Counter& retries = trace::MetricsRegistry::global().counter(
+      "recovery.symbolic.chunk_retry");
+  const std::uint64_t before = retries.value();
+  gpusim::Device dev = chunking_device(a, ref.filled.nnz(), a.n / 5);
+  SymbolicResult got;
+  {
+    fault::ScopedPlan plan("alloc=4");
+    got = symbolic_out_of_core(dev, a);
+    ASSERT_EQ(fault::Injector::instance().events().size(), 1u);
+  }
+  EXPECT_EQ(retries.value(), before + 1);
+  EXPECT_TRUE(same_pattern(ref.filled, got.filled));
+  EXPECT_GT(got.num_chunks, clean.num_chunks);
+}
 
 TEST(Multipart, RejectsZeroParts) {
   const Csr a = make_case(0, 5, 1);
