@@ -53,8 +53,9 @@ void Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
     ops = ctx.ops();
   } else if (cfg.blocks > 1) {
     // Execute every block on the pool, one work counter per worker.
-    ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::global();
+    ThreadPool& pool = kernel_pool();
     std::vector<KernelContext> contexts(pool.num_threads());
+    for (std::size_t w = 0; w < contexts.size(); ++w) contexts[w].worker_ = w;
     pool.parallel_for_ranges(
         static_cast<std::size_t>(cfg.blocks),
         [&](std::size_t begin, std::size_t end, std::size_t worker) {
@@ -67,6 +68,12 @@ void Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
   }
   record_launch(cfg, ops);
 }
+
+ThreadPool& Device::kernel_pool() const {
+  return pool_ != nullptr ? *pool_ : ThreadPool::global();
+}
+
+std::size_t Device::num_workers() const { return kernel_pool().num_threads(); }
 
 void Device::charge(const LaunchConfig& cfg, std::uint64_t ops) {
   E2ELU_CHECK_MSG(cfg.blocks > 0 || ops == 0,

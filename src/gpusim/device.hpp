@@ -142,8 +142,16 @@ class KernelContext {
   void add_ops(std::uint64_t n) { ops_ += n; }
   std::uint64_t ops() const { return ops_; }
 
+  /// Pool worker running this block, in [0, Device::num_workers()); 0 for
+  /// an inline one-block grid. Within one launch, blocks with the same
+  /// worker() run one after another, so a body may index per-worker host
+  /// scratch with it.
+  std::size_t worker() const { return worker_; }
+
  private:
+  friend class Device;
   std::uint64_t ops_ = 0;
+  std::size_t worker_ = 0;
 };
 
 /// Kernel body: invoked once per block with (block_id, ctx).
@@ -238,6 +246,10 @@ class Device {
   /// not depend on the pool size.
   void use_pool(ThreadPool& pool) { pool_ = &pool; }
 
+  /// Number of distinct KernelContext::worker() values a launch can see:
+  /// the size of the pool that runs kernel bodies.
+  std::size_t num_workers() const;
+
  private:
   friend class RawDeviceAllocation;
   friend class Stream;
@@ -255,6 +267,9 @@ class Device {
   /// queued work, blocks everything behind it — the legacy-default-stream
   /// full-barrier semantics.
   void advance_serial(double cost_us);
+
+  /// The pool that runs kernel bodies: use_pool()'s, else the global one.
+  ThreadPool& kernel_pool() const;
 
   /// Shared body of the async copy directions.
   void copy_async(std::size_t bytes, Stream& stream, bool h2d);

@@ -82,6 +82,13 @@ FactorService::FactorService(FactorServiceOptions options)
       queue_(opt_.max_queue),
       paused_(opt_.start_paused) {
   E2ELU_CHECK_MSG(opt_.workers >= 1, "FactorService needs at least 1 worker");
+  // Sharded jobs run opt_.pipeline on a ShardedFactorizer, which rejects
+  // these options; fail here rather than on the first big job.
+  E2ELU_CHECK_MSG(!opt_.sharding.enabled ||
+                      (!opt_.pipeline.numeric.fusion.enabled &&
+                       !opt_.pipeline.numeric.window.enabled),
+                  "sharding.enabled does not support pipeline.numeric.fusion "
+                  "or pipeline.numeric.window");
   telemetry::DashboardOptions dopts = telemetry::dashboard_options_from_env();
   if (dopts.interval_s <= 0 && opt_.dashboard_interval_s > 0) {
     dopts.interval_s = opt_.dashboard_interval_s;

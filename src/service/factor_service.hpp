@@ -91,7 +91,9 @@ struct FactorServiceOptions {
   /// the cache cannot help (no prior pattern) and one device serves
   /// slowest; the sharded path splits their elimination forest across the
   /// group. Factors are bit-identical either way (the sharding
-  /// invariant), so routing is purely a latency decision.
+  /// invariant), so routing is purely a latency decision. Enabled, it
+  /// rejects pipeline.numeric.fusion and pipeline.numeric.window at
+  /// construction, as ShardedFactorizer does.
   struct ShardingRoute {
     bool enabled = false;
     int devices = 4;

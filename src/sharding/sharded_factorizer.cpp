@@ -107,6 +107,12 @@ ShardedFactorizer::ShardedFactorizer(Options base, ShardingOptions sharding)
     : base_(std::move(base)),
       sharding_(sharding),
       group_(base_.device, sharding.num_devices, sharding.peer) {
+  // The sharded level loop has neither fused launches nor the scrolling
+  // window; accepting either option would run without it.
+  E2ELU_CHECK_MSG(!base_.numeric.fusion.enabled,
+                  "ShardedFactorizer does not support numeric.fusion");
+  E2ELU_CHECK_MSG(!base_.numeric.window.enabled,
+                  "ShardedFactorizer does not support numeric.window");
   if (base_.pool != nullptr) group_.use_pool(*base_.pool);
 }
 

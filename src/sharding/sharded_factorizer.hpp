@@ -91,6 +91,8 @@ struct ShardSolveStats {
 
 class ShardedFactorizer {
  public:
+  /// Throws e2elu::Error when base.numeric.fusion or base.numeric.window
+  /// is enabled: the sharded numeric phase supports neither.
   ShardedFactorizer(Options base, ShardingOptions sharding = {});
 
   /// Full pipeline; factors are bit-identical to SparseLU::factorize with

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "fault/fault.hpp"
@@ -423,6 +426,38 @@ TEST(Kernel, OneBlockGridRunsInlineOnTheCallingThread) {
   } catch (const numeric::ZeroPivotError& e) {
     EXPECT_EQ(e.column(), 7);
   }
+}
+
+// KernelContext::worker() names the pool worker running a block: each
+// thread sees one id in [0, num_workers()), and an inline one-block grid
+// sees 0.
+TEST(Kernel, WorkerIdsAreStablePerThreadAndInRange) {
+  ThreadPool pool(3);
+  Device dev(small_spec());
+  dev.use_pool(pool);
+  EXPECT_EQ(dev.num_workers(), 3u);
+
+  std::mutex mutex;
+  std::map<std::thread::id, std::set<std::size_t>> ids;
+  dev.launch({.name = "many", .blocks = 4096},
+             [&](std::int64_t, KernelContext& ctx) {
+               std::lock_guard<std::mutex> lock(mutex);
+               ids[std::this_thread::get_id()].insert(ctx.worker());
+             });
+  std::set<std::size_t> seen;
+  for (const auto& [thread, workers] : ids) {
+    ASSERT_EQ(workers.size(), 1u);
+    EXPECT_LT(*workers.begin(), dev.num_workers());
+    EXPECT_TRUE(seen.insert(*workers.begin()).second)
+        << "two threads share worker " << *workers.begin();
+  }
+
+  std::size_t inline_worker = 99;
+  dev.launch({.name = "single", .blocks = 1},
+             [&](std::int64_t, KernelContext& ctx) {
+               inline_worker = ctx.worker();
+             });
+  EXPECT_EQ(inline_worker, 0u);
 }
 
 }  // namespace

@@ -793,6 +793,29 @@ TEST(Sharding, ServiceRoutesBigJobsToTheGroup) {
   }
 }
 
+// The sharded numeric phase has no fused launches and no scrolling
+// window, so both entry points refuse those options up front.
+TEST(Sharding, RejectsFusionAndWindowUpFront) {
+  ThreadPool serial(1);
+  Options fused = equiv_options(serial);
+  fused.numeric.fusion.enabled = true;
+  Options windowed = equiv_options(serial);
+  windowed.numeric.window.enabled = true;
+  for (const Options& opt : {fused, windowed}) {
+    EXPECT_THROW(ShardedFactorizer(opt, group_of(2)), Error);
+
+    service::FactorServiceOptions sopt;
+    sopt.workers = 1;
+    sopt.pipeline = opt;
+    sopt.pipeline.pool = nullptr;
+    sopt.sharding.enabled = true;
+    EXPECT_THROW(service::FactorService{sopt}, Error);
+    // Without sharding the service takes the same pipeline options.
+    sopt.sharding.enabled = false;
+    EXPECT_NO_THROW(service::FactorService{sopt});
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-device state audit: every Device::launch-site arena that numeric
 // execution keeps must be per-device/per-instance. Two pipelines on two
